@@ -18,12 +18,10 @@ from .dataio import (
 )
 from .engine import (
     PowerResult,
-    SwingTable,
     VoterPower,
     banzhaf,
     compute_all,
     shapley_shubik,
-    swing_table,
 )
 from .errors import (
     InputError,
@@ -86,7 +84,6 @@ __all__ = [
     "RuleExpr",
     "Scenario",
     "ScenarioConfig",
-    "SwingTable",
     "ValidationError",
     "Voter",
     "VoterPower",
@@ -116,6 +113,5 @@ __all__ = [
     "serialize_population_table",
     "serialize_scenario_config",
     "shapley_shubik",
-    "swing_table",
     "with_bloc",
 ]

@@ -1,24 +1,37 @@
-"""Exact power indices via dynamic programming over weight grids.
+"""Exact power indices from one coalition-count table per game.
 
-For each voter i the engine counts, without enumerating them, the
-coalitions of the remaining voters by (player count t, excess seat
-weight e, population weight w).  Seat weight decomposes as t + e
+Coalitions are counted, never enumerated, by (player count t, excess
+seat weight e, population weight w).  Seat weight decomposes as t + e
 because almost every voter holds exactly one seat; only merged blocs
-contribute excess, so the e axis stays tiny and the table is close to
-(n x W) instead of (n x W x n).  A coalition cell is a swing for i
-exactly when the rule tree rejects (t + e, w) but accepts the cell
-shifted by i's own weights; the tree is evaluated once per (seats, pop)
-cell on a boolean grid, never per coalition.
+contribute excess, so the e axis stays tiny.  Each game takes three
+steps:
 
-Counts are plain int64 (safe up to 62 players; a guard refuses more),
-and everything downstream of the counts is exact: Banzhaf values and
+1. The rule tree compiles to a threshold vector: thr[s] is the least
+   winning population weight at seat total s, or total_pop + 1 if none
+   wins.  Every rule is monotone, so at a fixed s the winning weights
+   are exactly w >= thr[s].  A population leaf gives its quota, a seats
+   leaf 0 or total_pop + 1; AND takes the max and OR the min.
+2. One forward DP counts F[t, e, w] over all n voters for t < n and
+   turns it in place into prefix sums P[t, e, p] along w.  The table
+   holds n x (total_excess + 1) x (total_pop + 1) int64 cells; the
+   memory guard checks exactly that product before allocating it.
+3. Each voter i is deleted from the table, not rebuilt without it.
+   The counts without i satisfy G[t] = F[t] - shift_(e_i, w_i) G[t-1],
+   so their prefix sums are alternating sums
+   sum_k (-1)^k P[t-k, e-k*e_i, p-k*w_i], negative indices counting 0.
+   Voter i swings the coalitions with thr[s+seat_i] - w_i <= w < thr[s],
+   s = t + e, so each (t, e) needs two such sums, at points that do not
+   depend on the grid width.  Voters with equal weights share them.
+
+Counts are int64.  Every table cell counts subsets of the n voters, so
+it is at most 2^n <= 2^62; a guard refuses more than 62 players.  An
+alternating sum may wrap while it accumulates.  That is harmless:
+int64 arithmetic is exact modulo 2^64 and the true value lies in
+[0, 2^(n-1)], so the wrapped result is that value.  Everything
+downstream of the per-size swing counts is exact: Banzhaf values and
 indices as Fractions of big integers, Shapley-Shubik via factorial
 weights over the per-size swing counts.  Rounding happens only at
 rendering.
-
-Per-voter tables are rebuilt from scratch rather than divided out of a
-global table; at n <= 36 the n-fold rebuild is cheap and avoids the
-error-prone sparse polynomial division.
 """
 
 from __future__ import annotations
@@ -30,10 +43,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NormalizationError, ResourceLimitError
-from .game import And, Or, RuleExpr, VotingGame, WeightedRule, WeightKind
+from .game import And, RuleExpr, VotingGame, WeightedRule, WeightKind
 
-DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024  # bytes per swing table
-_MAX_PLAYERS = 62  # int64 holds every count up to 2^61 cells summing to 2^61
+DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024  # bytes for the one count table
+_MAX_PLAYERS = 62  # every table cell is at most 2^n, which int64 holds up to n = 62
 
 
 @dataclass(frozen=True)
@@ -66,14 +79,6 @@ class PowerResult:
 
         return tuple((leaf.kind.value, leaf.quota) for leaf in expr_leaves(self.game.expr))
 
-    @property
-    def has_banzhaf(self) -> bool:
-        return self.entries[0].banzhaf_index is not None
-
-    @property
-    def has_shapley(self) -> bool:
-        return self.entries[0].shapley_shubik is not None
-
     def entry(self, voter_id: str) -> VoterPower:
         for e in self.entries:
             if e.id == voter_id:
@@ -93,97 +98,78 @@ class PowerResult:
         return phi
 
 
-@dataclass(frozen=True)
-class SwingTable:
-    """Coalition counts over N minus one voter, by (size, excess seats, pop).
-
-    counts[t, e, w] is the number of coalitions with t players whose
-    seat weight is t + e and population weight is w.  Cells sum to
-    2^(n-1) exactly.
-    """
-
-    voter_id: str
-    counts: np.ndarray
-
-    @property
-    def total_coalitions(self) -> int:
-        return int(self.counts.sum())
-
-
-def _win_grid(expr: RuleExpr, total_seats: int, total_pop: int) -> np.ndarray:
-    """Boolean win[s, w] for every aggregate weight pair of the roster."""
-    s = np.arange(total_seats + 1)[:, None]
-    w = np.arange(total_pop + 1)[None, :]
+def _thresholds(expr: RuleExpr, total_seats: int, total_pop: int) -> np.ndarray:
+    """thr[s]: least winning population weight at seat total s, or total_pop + 1."""
+    seats = np.arange(total_seats + 1)
 
     def rec(node: RuleExpr) -> np.ndarray:
         if isinstance(node, WeightedRule):
-            axis = s if node.kind is WeightKind.SEATS else w
-            return axis >= node.quota
-        parts = [rec(c) for c in node.children]
-        combine = np.logical_and if isinstance(node, And) else np.logical_or
-        out = parts[0]
-        for p in parts[1:]:
-            out = combine(out, p)
-        return out
+            if node.kind is WeightKind.POPULATION:
+                return np.full(total_seats + 1, node.quota, dtype=np.int64)
+            return np.where(seats >= node.quota, 0, total_pop + 1)
+        combine = np.maximum if isinstance(node, And) else np.minimum
+        return combine.reduce([rec(c) for c in node.children])
 
-    return np.broadcast_to(rec(expr), (total_seats + 1, total_pop + 1))
+    return rec(expr)
 
 
-def _count_table(game: VotingGame, excluded: int, memory_budget: int) -> np.ndarray:
-    """DP table counts[t, e, w] over coalitions of the roster minus one voter."""
+def _prefix_table(game: VotingGame, memory_budget: int) -> np.ndarray:
+    """P[t, e, p]: coalitions of t voters with t + e seats and population <= p."""
     voters = game.roster.voters
     n = len(voters)
+    levels = game.roster.total_seats - n + 1
     width = game.roster.total_pop + 1
-    excess = sum(v.seat_weight - 1 for i, v in enumerate(voters) if i != excluded)
-    nbytes = n * (excess + 1) * width * 8
+    nbytes = n * levels * width * 8
     if nbytes > memory_budget:
         raise ResourceLimitError(
-            f"swing table needs {n} sizes x {excess + 1} excess-seat levels x "
+            f"swing table needs {n} sizes x {levels} excess-seat levels x "
             f"{width} population cells = {nbytes} bytes, over the "
             f"{memory_budget}-byte budget"
         )
-    table = np.zeros((n, excess + 1, width), dtype=np.int64)
+    table = np.zeros((n, levels, width), dtype=np.int64)
     table[0, 0, 0] = 1
-    added = 0
-    for j, v in enumerate(voters):
-        if j == excluded:
-            continue
-        added += 1
-        wj, ej = v.pop_weight, v.seat_weight - 1
+    # Lightest voters first: cells past the weights added so far are zero,
+    # so most slices stay short until the heavy voters arrive.
+    reach_e = reach_w = 0
+    for added, v in enumerate(sorted(voters, key=lambda voter: voter.pop_weight), 1):
+        ej, wj = v.seat_weight - 1, v.pop_weight
+        reach_e, reach_w = reach_e + ej, reach_w + wj
         for t in range(min(added, n - 1), 0, -1):
-            table[t, ej:, wj:] += table[t - 1, : excess + 1 - ej, : width - wj]
+            table[t, ej : reach_e + 1, wj : reach_w + 1] += table[
+                t - 1, : reach_e + 1 - ej, : reach_w + 1 - wj
+            ]
+    np.cumsum(table, axis=2, out=table)
     return table
 
 
-def _swings_by_size(
-    table: np.ndarray, win: np.ndarray, seat_i: int, pop_i: int
-) -> np.ndarray:
-    """g[t] = number of size-t coalitions losing without i and winning with i."""
-    n, levels, width = table.shape
-    valid = width - pop_i  # cells beyond total_pop - pop_i hold no coalitions
-    g = np.zeros(n, dtype=np.int64)
-    for t in range(n):
-        plane = table[t]
-        if not plane.any():
-            continue
-        for e in range(levels):
-            s = t + e
-            crit = win[s + seat_i, pop_i:] & ~win[s, :valid]
-            g[t] += int(plane[e, :valid] @ crit)
-    return g
+def _without(prefix: np.ndarray, pop_i: int, excess_i: int, points: np.ndarray) -> np.ndarray:
+    """Prefix counts over the roster minus one voter with the given weights.
+
+    ``points[t, e]`` is a population weight p (negative counts nothing);
+    the result at [t, e] is the number of coalitions of the other voters
+    with t members, t + e seats and population weight <= p, computed as
+    sum_k (-1)^k P[t-k, e-k*excess_i, p-k*pop_i].
+    """
+    n, levels, _ = prefix.shape
+    k = np.arange(n)[:, None, None]
+    t = np.arange(n)[None, :, None] - k
+    e = np.arange(levels)[None, None, :] - k * excess_i
+    p = points[None] - k * pop_i
+    terms = prefix[t.clip(0), e.clip(0), p.clip(0)]
+    terms = np.where((t >= 0) & (e >= 0) & (p >= 0), terms, 0)
+    return (terms * (1 - 2 * (k & 1))).sum(axis=0)
 
 
-def swing_table(
-    game: VotingGame, voter_id: str, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> SwingTable:
-    """Expose one voter's coalition-count table (mainly for validation)."""
-    ids = game.roster.ids()
-    if voter_id not in ids:
-        raise KeyError(voter_id)
-    return SwingTable(
-        voter_id=voter_id,
-        counts=_count_table(game, ids.index(voter_id), memory_budget),
-    )
+def _swings(prefix: np.ndarray, thr: np.ndarray, pop_i: int, seat_i: int) -> np.ndarray:
+    """g[t] = number of size-t coalitions losing without voter i and winning with i."""
+    n, levels, _ = prefix.shape
+    seats = np.arange(n)[:, None] + np.arange(levels)[None, :]
+    # Seat totals past the roster's hold no coalition without i: their
+    # prefix counts are zero whatever threshold the clipped index reads.
+    with_i = np.minimum(seats + seat_i, len(thr) - 1)
+    lose_alone = _without(prefix, pop_i, seat_i - 1, thr[seats] - 1)
+    lose_with_i = _without(prefix, pop_i, seat_i - 1, thr[with_i] - pop_i - 1)
+    return (lose_alone - lose_with_i).sum(axis=1)
 
 
 def _compute(
@@ -195,11 +181,14 @@ def _compute(
         raise ResourceLimitError(
             f"{n} players exceeds the {_MAX_PLAYERS}-player int64 counting range"
         )
-    win = _win_grid(game.expr, game.roster.total_seats, game.roster.total_pop)
-    swings = []
-    for i, v in enumerate(voters):
-        table = _count_table(game, i, memory_budget)
-        swings.append(_swings_by_size(table, win, v.seat_weight, v.pop_weight))
+    prefix = _prefix_table(game, memory_budget)
+    thr = _thresholds(game.expr, game.roster.total_seats, game.roster.total_pop)
+    by_weights: dict[tuple[int, int], np.ndarray] = {}
+    for v in voters:
+        key = (v.pop_weight, v.seat_weight)
+        if key not in by_weights:
+            by_weights[key] = _swings(prefix, thr, *key)
+    swings = [by_weights[v.pop_weight, v.seat_weight] for v in voters]
     scores = [int(g.sum()) for g in swings]
     total = sum(scores)
     if total == 0:

@@ -14,6 +14,7 @@ All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
@@ -37,6 +38,11 @@ class Voter:
     def __post_init__(self):
         if not self.id:
             raise InputError("voter id must be non-empty")
+        for name in ("pop_weight", "seat_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise InputError(f"voter {self.id!r}: {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.pop_weight < 0:
             raise InputError(f"voter {self.id!r}: pop_weight must be >= 0")
         if self.seat_weight < 1:

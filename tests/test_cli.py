@@ -133,6 +133,28 @@ class TestCompute:
         assert code == 2
         assert "resource error" in err
 
+    @pytest.mark.parametrize(
+        "n,pop,message",
+        [
+            (63, 1, "63 players"),
+            # 40 sizes x 1 level x 1,000,001 cells x 8 bytes = 320 MB
+            (40, 25_000, "over the 268435456-byte budget"),
+        ],
+    )
+    def test_resource_refusal_without_traceback(self, tmp_path, n, pop, message):
+        ids = [f"v{i}" for i in range(n)]
+        population = tmp_path / "big.csv"
+        population.write_text("id,name,pop\n" + "".join(f"{i},{i.upper()},{pop}\n" for i in ids))
+        scenario = tmp_path / "big.scenario"
+        scenario.write_text(f"name = big\nmembers = {' '.join(ids)}\n")
+        code, out, err = invoke(
+            ["compute", "--scenario", str(scenario), "--population", str(population)]
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestCompare:
     def test_paradox_lists_malta(self):

@@ -1,23 +1,22 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from votingpower import engine
 from votingpower.errors import ResourceLimitError
 from votingpower.game import (
-    Bloc,
-    BlocPartition,
     Roster,
     Voter,
     VotingGame,
     WeightedRule,
     WeightKind,
     build_qmv,
-    merge_blocs,
 )
-from votingpower.scenarios import builtin_scenario, scenario_game
+from votingpower.scenarios import builtin_scenario, scenario_game, with_bloc
 
 
 def three_voter_game() -> VotingGame:
@@ -126,30 +125,27 @@ class TestEu27:
             assert prev.shapley_shubik >= cur.shapley_shubik
 
 
-class TestSwingTable:
-    def test_cells_sum_to_all_coalitions(self):
-        game = scenario_game(builtin_scenario("eec1958"))
-        table = engine.swing_table(game, "LU")
-        assert table.total_coalitions == 2 ** (game.n - 1)
-
-    def test_bloc_game_excess_axis(self):
-        roster = builtin_scenario("eu27").roster
-        merged = merge_blocs(
-            roster, BlocPartition((Bloc("v4", "V4", ("PL", "CZ", "HU", "SK")),))
-        )
-        game = build_qmv(merged)
-        table = engine.swing_table(game, "DE")
-        # 23 other voters, one of them carrying 3 excess seats
-        assert table.counts.shape[1] == 4
-        assert table.total_coalitions == 2 ** (game.n - 1)
-        bloc_table = engine.swing_table(game, "v4")
-        assert bloc_table.counts.shape[1] == 1
-        assert bloc_table.total_coalitions == 2 ** (game.n - 1)
-
-    def test_unknown_voter(self):
-        game = three_voter_game()
-        with pytest.raises(KeyError):
-            engine.swing_table(game, "XX")
+class TestDeletion:
+    @pytest.mark.parametrize("bloc", [None, "v4"], ids=["eec1958", "eu27+v4"])
+    def test_prefix_counts_without_each_voter_cover_all_coalitions(self, bloc):
+        if bloc is None:
+            game = scenario_game(builtin_scenario("eec1958"))
+        else:
+            game = scenario_game(with_bloc(builtin_scenario("eu27"), bloc))
+        prefix = engine._prefix_table(game, engine.DEFAULT_MEMORY_BUDGET)
+        n, levels, width = prefix.shape
+        everything = np.full((n, levels), width - 1)
+        excesses = set()
+        for v in game.roster.voters:
+            excess = v.seat_weight - 1
+            counts = engine._without(prefix, v.pop_weight, excess, everything)
+            assert (counts >= 0).all()
+            assert int(counts.sum()) == 2 ** (game.n - 1), v.id
+            # size t alone: every t-subset of the other n - 1 voters
+            assert counts.sum(axis=1).tolist() == [math.comb(n - 1, t) for t in range(n)]
+            excesses.add(excess)
+        if bloc == "v4":
+            assert levels == 4 and 3 in excesses
 
 
 class TestResourceGuards:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +50,17 @@ class TestTypes:
     def test_voter_rejects_zero_seats(self):
         with pytest.raises(InputError):
             Voter("A", "Alpha", 5, 0)
+
+    def test_voter_normalises_numpy_integers(self):
+        v = Voter("A", "Alpha", np.int64(5), np.int32(2))
+        assert (v.pop_weight, v.seat_weight) == (5, 2)
+        assert type(v.pop_weight) is int and type(v.seat_weight) is int
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), 5.0, np.float64(5), "5", None])
+    @pytest.mark.parametrize("field", ["pop_weight", "seat_weight"])
+    def test_voter_rejects_non_integer_weights(self, field, bad):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            Voter("A", "Alpha", **{"pop_weight": 5, "seat_weight": 1, field: bad})
 
     def test_roster_totals(self):
         r = Roster((Voter("A", "Alpha", 10, 2), Voter("B", "Beta", 5)))
